@@ -13,7 +13,6 @@
 
 #include "common/bytes.h"
 #include "common/dataset.h"
-#include "common/packed_column.h"
 #include "common/query.h"
 #include "common/simd.h"
 #include "common/task_scheduler.h"
@@ -414,12 +413,6 @@ class CrackArray {
   /// — or, on count-only executions, only their number is accumulated and
   /// the id column is never read.
   ///
-  /// When the caller owns a `PackedLeaf` for exactly this row range (a
-  /// frozen QUASII slice), pass it as `packed`: the mask passes then scan
-  /// the bit-packed frame-of-reference columns directly — comparing in
-  /// mapped space, never decompressing — and read a fraction of the bytes.
-  /// Results are bit-identical to the raw-column path.
-  ///
   /// For `kIntersects`, dimensions set in `covered_dims` are proven
   /// overlapping by the caller's structure (e.g. a QUASII slice whose value
   /// interval lies inside the query's) and skip their pass; a fully covered
@@ -438,13 +431,15 @@ class CrackArray {
   /// reorganizing the array — the converged read path of QUASII's
   /// concurrency contract.
   ///
-  /// Returns the number of column bytes the scan actually touched (bound or
-  /// packed columns, live-byte probe, emitted ids) — the engine accumulates
-  /// it into `QueryStats::bytes_scanned`.
+  /// Returns the number of raw column bytes the scan touched — the engine
+  /// accumulates it into `QueryStats::bytes_scanned`. With `len = end -
+  /// begin`: `2 * len * sizeof(Scalar)` per tested dimension (its lo and hi
+  /// bound columns), plus `len * sizeof(ObjectId)` when ids are emitted (not
+  /// on count-only executions), plus `len` live bytes whenever the array
+  /// holds any tombstone.
   std::uint64_t StreamScan(std::size_t begin, std::size_t end, const Box<D>& q,
                            RangePredicate predicate, unsigned covered_dims,
-                           MatchEmitter* emit,
-                           const PackedLeaf<D>* packed = nullptr) const {
+                           MatchEmitter* emit) const {
     internal::ScanScratch& scratch = internal::ScanScratchTLS();
     const std::size_t len = end - begin;
     if (len == 0) return 0;
@@ -467,34 +462,10 @@ class CrackArray {
                           live_.begin() + static_cast<std::ptrdiff_t>(end));
     }
     std::uint8_t* mask = scratch.mask.data();
-    // A packed leaf can only stand in for the raw columns when it encodes
-    // exactly this row range.
-    const bool use_packed = packed != nullptr && packed->rows == len;
     for (int d = 0; d < D; ++d) {
       if (covered_dims & (1u << d)) continue;
       const Scalar qlo = q.lo[d];
       const Scalar qhi = q.hi[d];
-      if (use_packed) {
-        const std::size_t dd = static_cast<std::size_t>(d);
-        const PackedColumn& lo_pk = packed->lo_cols[dd];
-        const PackedColumn& hi_pk = packed->hi_cols[dd];
-        switch (predicate) {
-          case RangePredicate::kIntersects:
-            MaskPackedLeGe(lo_pk, MapOrdered(qhi), hi_pk, MapOrdered(qlo),
-                           mask, len);
-            break;
-          case RangePredicate::kContains:  // object ⊇ q, per dimension
-            MaskPackedLeGe(lo_pk, MapOrdered(qlo), hi_pk, MapOrdered(qhi),
-                           mask, len);
-            break;
-          case RangePredicate::kContainedBy:  // object ⊆ q, per dimension
-            MaskPackedLeGe(hi_pk, MapOrdered(qhi), lo_pk, MapOrdered(qlo),
-                           mask, len);
-            break;
-        }
-        bytes += lo_pk.bytes() + hi_pk.bytes();
-        continue;
-      }
       const Scalar* los = los_[static_cast<std::size_t>(d)].data() + begin;
       const Scalar* his = his_[static_cast<std::size_t>(d)].data() + begin;
       // All three predicates are one (column <= bound) & (column >= bound)

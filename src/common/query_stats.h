@@ -24,10 +24,11 @@ struct QueryStats {
   std::uint64_t duplicates_removed = 0;
   /// 1d intervals a query decomposed into (SFC-based indexes).
   std::uint64_t intervals = 0;
-  /// Column bytes read by leaf scans (bound or packed columns, live-byte
-  /// probes, emitted ids). Only `CrackArray::StreamScan`-based paths report
-  /// it; a packed (compressed) leaf advances it by its packed footprint, so
-  /// the counter directly exposes the scan working-set shrink.
+  /// Raw column bytes read by leaf scans: per scanned range of `len` rows,
+  /// `2 * len * sizeof(Scalar)` per tested dimension (lo/hi bounds), plus
+  /// `len * sizeof(ObjectId)` for emitted ids, plus `len` live bytes when
+  /// the array holds tombstones. Only `CrackArray::StreamScan`-based paths
+  /// report it (see there for the exact rule).
   std::uint64_t bytes_scanned = 0;
 
   void Reset() { *this = QueryStats{}; }

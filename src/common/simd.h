@@ -37,8 +37,6 @@
 //   MaskLeGe    mask[i] &= (le_col[i] <= le_bound) & (ge_col[i] >= ge_bound)
 //   MaskCount   sum of 0/1 mask bytes
 //   CompactIds  order-preserving gather of ids[i] where mask[i] != 0
-//   MaskPackedLe/Ge  the same interval tests over bit-packed columns
-//                    (see packed_column.h for the layout contract)
 
 namespace quasii::simd {
 

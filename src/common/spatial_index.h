@@ -164,22 +164,6 @@ class SpatialIndex {
   /// allowed to bypass the `Insert`/`Erase` protocol. Single-threaded.
   ObjectStore<D>& MutableStoreForRecovery() { return store_; }
 
-  /// Per-row column footprint of the index's scan structures. `raw_bytes` is
-  /// the footprint with no compression; `resident_bytes` substitutes the
-  /// packed representation for every compressed (frozen) leaf. Indexes
-  /// without per-row columns report zeros. Gauge semantics (a point-in-time
-  /// measurement, not a counter), hence an accessor instead of a
-  /// `QueryStats` field — sharded stats slots are summed on merge, which
-  /// would multiply a gauge by the slot count. Not thread-safe: read
-  /// between batches like the persistence surface.
-  struct ColumnMemory {
-    std::uint64_t resident_bytes = 0;
-    std::uint64_t raw_bytes = 0;
-    std::uint64_t packed_leaves = 0;
-    std::uint64_t packed_rows = 0;
-  };
-  virtual ColumnMemory column_memory() const { return {}; }
-
   /// Typed query execution: the one entry point every id-producing query
   /// funnels through (joins produce pairs — use the `PairSink` overload).
   /// Thread-safe (see the class comment): tries the shared lock first and

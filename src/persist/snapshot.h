@@ -31,11 +31,9 @@ namespace quasii::persist {
 /// with larger LSNs. The structure blob is the index's own
 /// `SerializeStructure` serialization (QUASII's crack columns + slice
 /// tree, R-Tree's packed levels); indexes without one are restored by
-/// `RebuildFromStore`. Derived acceleration state is deliberately NOT
-/// serialized: QUASII's bit-packed frozen-leaf columns are rebuilt by
-/// `DeserializeStructure` from the restored slice tree (same leaves, same
-/// frames), so the format is independent of packing policy and the
-/// restored index still replays converged workloads with zero cracks.
+/// `RebuildFromStore`. A QUASII index restored from its structure blob
+/// scans the same raw columns through the same slice tree, so it replays
+/// converged workloads with zero cracks.
 ///
 /// Writes are atomic: the file is assembled under `path + ".tmp"`, synced,
 /// and renamed over `path` — a crash mid-snapshot leaves the previous valid

@@ -1,20 +1,18 @@
-// SIMD / packed-column kernel tests: every vector tier must match the scalar
-// reference bit-for-bit at boundary lengths (0, 1, lane-width +/- 1), the
-// bit-packed frozen-leaf columns must round-trip mapped values and produce
-// scan results identical to the raw columns across all predicates (2D and
-// 3D, duplicate-heavy and all-dead rows included), and the thread-local scan
-// scratch must shrink back after a burst of large scans.
+// SIMD kernel tests: every vector tier must match the scalar reference
+// bit-for-bit at boundary lengths (0, 1, lane-width +/- 1), leaf scans must
+// emit identical results at every tier across all predicates (2D and 3D,
+// duplicate-heavy and all-dead rows included), a converged QUASII index must
+// answer identically at every tier and after a snapshot restore, and the
+// thread-local scan scratch must shrink back after a burst of large scans.
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/crack_array.h"
 #include "common/dataset.h"
-#include "common/packed_column.h"
 #include "common/query.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -30,16 +28,8 @@ using quasii::Box;
 using quasii::Box3;
 using quasii::CrackArray;
 using quasii::Dataset;
-using quasii::MakePackedLeaf;
-using quasii::MapOrdered;
-using quasii::MaskPackedGe;
-using quasii::MaskPackedLe;
-using quasii::MaskPackedLeGe;
 using quasii::MatchEmitter;
 using quasii::ObjectId;
-using quasii::PackColumn;
-using quasii::PackedColumn;
-using quasii::PackedLeaf;
 using quasii::QuasiiIndex;
 using quasii::RangePredicate;
 using quasii::Rng;
@@ -172,90 +162,6 @@ void TestMaskCountAndCompactMatchScalar() {
   }
 }
 
-void TestPackedColumnRoundTrip() {
-  // MapOrdered preserves float order and canonicalizes -0.0.
-  CHECK_EQ(MapOrdered(Scalar{-0.0}), MapOrdered(Scalar{0}));
-  CHECK_LT(MapOrdered(-kInf), MapOrdered(Scalar{-1}));
-  CHECK_LT(MapOrdered(Scalar{-1}), MapOrdered(Scalar{0}));
-  CHECK_LT(MapOrdered(Scalar{0}), MapOrdered(Scalar{1}));
-  CHECK_LT(MapOrdered(Scalar{1}), MapOrdered(kInf));
-
-  // Constant column packs to width 0 and zero words.
-  const std::vector<Scalar> constant(37, Scalar{4.5});
-  const PackedColumn c0 = PackColumn(constant.data(), constant.size());
-  CHECK_EQ(c0.width, 0u);
-  CHECK_EQ(c0.rows, constant.size());
-  for (std::size_t i = 0; i < constant.size(); ++i) {
-    CHECK_EQ(c0.GetMapped(i), MapOrdered(Scalar{4.5}));
-  }
-
-  // Full-range column (infinities, negatives, signed zero) needs width 32
-  // and still round-trips every mapped value exactly.
-  Rng rng(13);
-  for (std::size_t n : kLens) {
-    if (n == 0) continue;
-    std::vector<Scalar> vals = RandomColumn(n, &rng);
-    vals[0] = -kInf;  // force the widest frame
-    if (n > 1) vals[n - 1] = kInf;
-    const PackedColumn col = PackColumn(vals.data(), n);
-    CHECK_EQ(col.rows, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      CHECK_EQ(col.GetMapped(i), MapOrdered(vals[i]));
-    }
-    // Narrow column: small deltas pack into few bits.
-    for (std::size_t i = 0; i < n; ++i) {
-      vals[i] = Scalar(100 + static_cast<int>(rng.UniformInt(0, 7)));
-    }
-    const PackedColumn narrow = PackColumn(vals.data(), n);
-    // Floats 100..107 share exponent bits: mapped deltas span 20 bits.
-    CHECK_LE(static_cast<unsigned>(narrow.width), 20u);
-    for (std::size_t i = 0; i < n; ++i) {
-      CHECK_EQ(narrow.GetMapped(i), MapOrdered(vals[i]));
-    }
-  }
-}
-
-void TestMaskPackedMatchesFloatReference() {
-  Rng rng(14);
-  for (std::size_t n : kLens) {
-    for (int rep = 0; rep < 8; ++rep) {
-      std::vector<Scalar> le_vals = RandomColumn(n, &rng);
-      std::vector<Scalar> ge_vals = RandomColumn(n, &rng);
-      if (rep == 0) {  // constant columns exercise the width-0 verdicts
-        std::fill(le_vals.begin(), le_vals.end(), Scalar{3});
-        std::fill(ge_vals.begin(), ge_vals.end(), Scalar{-7});
-      }
-      const PackedColumn le_col = PackColumn(le_vals.data(), n);
-      const PackedColumn ge_col = PackColumn(ge_vals.data(), n);
-      // Bounds inside, below, and above the column frames hit the compare
-      // path and both all-pass / all-fail early-outs.
-      const std::array<Scalar, 5> bounds = {
-          rng.UniformScalar(-120, 120), Scalar{-200}, Scalar{200}, -kInf,
-          kInf};
-      for (const Scalar le_b : bounds) {
-        for (const Scalar ge_b : bounds) {
-          const std::vector<std::uint8_t> init = RandomMask(n, &rng);
-          std::vector<std::uint8_t> want = init;
-          for (std::size_t i = 0; i < n; ++i) {
-            want[i] &= static_cast<std::uint8_t>((le_vals[i] <= le_b) &
-                                                 (ge_vals[i] >= ge_b));
-          }
-          ForEachTier([&] {
-            std::vector<std::uint8_t> got = init;
-            MaskPackedLe(le_col, MapOrdered(le_b), got.data(), n);
-            MaskPackedGe(ge_col, MapOrdered(ge_b), got.data(), n);
-            CHECK(got == want);
-            std::vector<std::uint8_t> fused = init;
-            MaskPackedLeGe(le_col, MapOrdered(le_b), ge_col,
-                           MapOrdered(ge_b), fused.data(), n);
-            CHECK(fused == want);
-          });
-        }
-      }
-    }
-  }
-}
-
 template <int D>
 Dataset<D> MakeScanDataset(std::size_t n, Rng* rng, bool duplicate_heavy) {
   Dataset<D> data(n);
@@ -274,32 +180,30 @@ Dataset<D> MakeScanDataset(std::size_t n, Rng* rng, bool duplicate_heavy) {
   return data;
 }
 
-/// StreamScan over `[0, n)` with and without the packed leaf, at every tier,
-/// for every predicate: ids must be identical (order included — both paths
-/// emit in row order).
+/// StreamScan over `[0, n)` at every tier, for every predicate: ids must be
+/// identical to the forced-scalar scan (order included — every tier emits in
+/// row order), and so must the byte count.
 template <int D>
-void CheckStreamScanPackedVsRaw(const CrackArray<D>& array,
-                                const PackedLeaf<D>& leaf, const Box<D>& q) {
+void CheckStreamScanTiers(const CrackArray<D>& array, const Box<D>& q) {
   const std::size_t n = array.size();
   for (const RangePredicate pred :
        {RangePredicate::kIntersects, RangePredicate::kContains,
         RangePredicate::kContainedBy}) {
     std::vector<ObjectId> want;
+    std::uint64_t want_bytes = 0;
     {
       VectorSink sink(&want);
       MatchEmitter emit(false, &sink);
       simd::ForceTier(simd::Tier::kScalar);
-      array.StreamScan(0, n, q, pred, 0, &emit, nullptr);
+      want_bytes = array.StreamScan(0, n, q, pred, 0, &emit);
       simd::ForceTier(simd::DetectTier());
     }
     ForEachTier([&] {
-      for (const PackedLeaf<D>* packed : {&leaf, (const PackedLeaf<D>*)nullptr}) {
-        std::vector<ObjectId> got;
-        VectorSink sink(&got);
-        MatchEmitter emit(false, &sink);
-        array.StreamScan(0, n, q, pred, 0, &emit, packed);
-        CHECK(got == want);
-      }
+      std::vector<ObjectId> got;
+      VectorSink sink(&got);
+      MatchEmitter emit(false, &sink);
+      CHECK_EQ(array.StreamScan(0, n, q, pred, 0, &emit), want_bytes);
+      CHECK(got == want);
     });
   }
 }
@@ -320,12 +224,6 @@ void RunStreamScanTest(bool duplicate_heavy, bool kill_all) {
             rng.UniformInt(0, static_cast<std::int64_t>(n) - 1)));
       }
     }
-    std::array<const Scalar*, static_cast<std::size_t>(D)> los, his;
-    for (int d = 0; d < D; ++d) {
-      los[static_cast<std::size_t>(d)] = array.lo_col(d).data();
-      his[static_cast<std::size_t>(d)] = array.hi_col(d).data();
-    }
-    const auto leaf = MakePackedLeaf<D>(los, his, n);
     for (int rep = 0; rep < 4; ++rep) {
       Box<D> q;
       for (int d = 0; d < D; ++d) {
@@ -334,7 +232,7 @@ void RunStreamScanTest(bool duplicate_heavy, bool kill_all) {
         q.lo[d] = std::min(a, b);
         q.hi[d] = std::max(a, b);
       }
-      CheckStreamScanPackedVsRaw<D>(array, *leaf, q);
+      CheckStreamScanTiers<D>(array, q);
     }
     // A query covering everything and one hitting nothing.
     Box<D> all, none;
@@ -344,13 +242,13 @@ void RunStreamScanTest(bool duplicate_heavy, bool kill_all) {
       none.lo[d] = Scalar{-500};
       none.hi[d] = Scalar{-400};
     }
-    CheckStreamScanPackedVsRaw<D>(array, *leaf, all);
-    CheckStreamScanPackedVsRaw<D>(array, *leaf, none);
+    CheckStreamScanTiers<D>(array, all);
+    CheckStreamScanTiers<D>(array, none);
   }
 }
 
-void TestStreamScanPackedVsRaw2D() { RunStreamScanTest<2>(false, false); }
-void TestStreamScanPackedVsRaw3D() { RunStreamScanTest<3>(false, false); }
+void TestStreamScanTiers2D() { RunStreamScanTest<2>(false, false); }
+void TestStreamScanTiers3D() { RunStreamScanTest<3>(false, false); }
 void TestStreamScanDuplicateHeavy() { RunStreamScanTest<3>(true, false); }
 void TestStreamScanAllDead() { RunStreamScanTest<3>(false, true); }
 
@@ -383,64 +281,77 @@ void TestScanScratchShrinks() {
   CHECK_EQ(s.mask.capacity(), cap_before);
 }
 
-void TestQuasiiPackedEndToEnd() {
+/// Input of the two QUASII end-to-end tests below: a uniform dataset and
+/// the range workload that converges an index over it.
+struct QuasiiWorkload {
+  quasii::Dataset3 data;
+  std::vector<Box3> queries;
+};
+
+QuasiiWorkload MakeQuasiiWorkload() {
   quasii::datagen::UniformDatasetParams dp;
   dp.count = 20000;
   dp.seed = 7;
-  const quasii::Dataset3 data = quasii::datagen::MakeUniformDataset(dp);
-  const Box3 universe = quasii::datagen::UniformUniverse(dp);
+  QuasiiWorkload in;
+  in.data = quasii::datagen::MakeUniformDataset(dp);
   quasii::datagen::UniformQueryParams qp;
   qp.count = 400;
   qp.selectivity = 1e-3;
   qp.seed = 8;
-  const auto queries = quasii::datagen::MakeUniformQueries(universe, qp);
+  in.queries = quasii::datagen::MakeUniformQueries(
+      quasii::datagen::UniformUniverse(dp), qp);
+  return in;
+}
 
-  QuasiiIndex<3> index(data);
+void Converge(QuasiiIndex<3>* index, const std::vector<Box3>& queries) {
   for (const Box3& q : queries) {
-    std::vector<ObjectId> sink_out;
-    RangeQueryInto(index, q, &sink_out);
+    std::vector<ObjectId> ids;
+    RangeQueryInto(*index, q, &ids);
   }
-  if (!QuasiiIndex<3>::PackingEnabled()) return;  // QUASII_NO_PACK=1 run
-  const auto mem = index.column_memory();
-  CHECK_GT(mem.packed_leaves, 0u);
-  CHECK_GT(mem.packed_rows, 0u);
-  CHECK_LT(mem.resident_bytes, mem.raw_bytes);
+}
 
-  // Packed and raw scans agree query-for-query, at the native tier and
-  // forced scalar.
-  ForEachTier([&] {
-    for (std::size_t i = 0; i < 50; ++i) {
-      std::vector<ObjectId> packed_ids, raw_ids;
-      index.set_packed_scan_enabled(true);
-      RangeQueryInto(index, queries[i], &packed_ids);
-      index.set_packed_scan_enabled(false);
-      RangeQueryInto(index, queries[i], &raw_ids);
-      index.set_packed_scan_enabled(true);
-      std::sort(packed_ids.begin(), packed_ids.end());
-      std::sort(raw_ids.begin(), raw_ids.end());
-      CHECK(packed_ids == raw_ids);
-    }
-  });
+void TestQuasiiTierAgreement() {
+  const QuasiiWorkload in = MakeQuasiiWorkload();
+  QuasiiIndex<3> index(in.data);
+  Converge(&index, in.queries);
+  // Every tier emits the forced-scalar id stream (order included) and does
+  // the same work.
+  for (std::size_t i = 0; i < 50; ++i) {
+    std::vector<ObjectId> want;
+    simd::ForceTier(simd::Tier::kScalar);
+    index.ResetStats();
+    RangeQueryInto(index, in.queries[i], &want);
+    const quasii::QueryStats want_stats = index.stats();
+    ForEachTier([&] {
+      std::vector<ObjectId> got;
+      index.ResetStats();
+      RangeQueryInto(index, in.queries[i], &got);
+      CHECK(got == want);
+      CHECK_EQ(index.stats().cracks, 0u);
+      CHECK_EQ(index.stats().objects_tested, want_stats.objects_tested);
+      CHECK_EQ(index.stats().bytes_scanned, want_stats.bytes_scanned);
+    });
+  }
+  std::string why;
+  CHECK(index.CheckInvariants(&why));
+}
 
-  // Snapshot structure -> restore: packed leaves are re-frozen on load
-  // (they are derived state, not serialized) and replaying queries cracks
-  // nothing.
+void TestQuasiiRestoreReplaysWithoutCracks() {
+  const QuasiiWorkload in = MakeQuasiiWorkload();
+  QuasiiIndex<3> index(in.data);
+  Converge(&index, in.queries);
   std::string blob;
   quasii::ByteWriter blob_writer(&blob);
   CHECK(index.SerializeStructure(blob_writer));
-  QuasiiIndex<3> restored(data);
+  QuasiiIndex<3> restored(in.data);
   CHECK(restored.DeserializeStructure(blob));
-  const auto rmem = restored.column_memory();
-  CHECK_EQ(rmem.packed_leaves, mem.packed_leaves);
-  CHECK_EQ(rmem.packed_rows, mem.packed_rows);
-  CHECK_EQ(rmem.resident_bytes, mem.resident_bytes);
+  std::string why;
+  CHECK(restored.CheckInvariants(&why));
   restored.ResetStats();
-  for (const Box3& q : queries) {
+  for (const Box3& q : in.queries) {
     std::vector<ObjectId> got, want;
     RangeQueryInto(restored, q, &got);
     RangeQueryInto(index, q, &want);
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
     CHECK(got == want);
   }
   CHECK_EQ(restored.stats().cracks, 0u);
@@ -452,14 +363,13 @@ int main() {
   RUN_TEST(TestTierControls);
   RUN_TEST(TestMaskLeGeMatchesScalar);
   RUN_TEST(TestMaskCountAndCompactMatchScalar);
-  RUN_TEST(TestPackedColumnRoundTrip);
-  RUN_TEST(TestMaskPackedMatchesFloatReference);
-  RUN_TEST(TestStreamScanPackedVsRaw2D);
-  RUN_TEST(TestStreamScanPackedVsRaw3D);
+  RUN_TEST(TestStreamScanTiers2D);
+  RUN_TEST(TestStreamScanTiers3D);
   RUN_TEST(TestStreamScanDuplicateHeavy);
   RUN_TEST(TestStreamScanAllDead);
   RUN_TEST(TestScanScratchShrinks);
-  RUN_TEST(TestQuasiiPackedEndToEnd);
+  RUN_TEST(TestQuasiiTierAgreement);
+  RUN_TEST(TestQuasiiRestoreReplaysWithoutCracks);
   std::printf("test_simd: all tests passed\n");
   return 0;
 }
