@@ -178,7 +178,7 @@ inline std::size_t RunPosition(const std::vector<PartitionRun>& runs,
 ///     count and boundaries are a pure function of the range length and the
 ///     morsel grain (never the worker count), and each chunk is partitioned
 ///     independently with `CrackPartition` (disjoint rows, so concurrent
-///     `swap_rows` callbacks never touch the same row or id).
+///     `swap_rows` callbacks never touch the same row).
 ///  2. **Bounded swap fixup** — with the global split `S` known from the
 ///     per-chunk splits, the misplaced elements form at most one run per
 ///     chunk on each side of `S` (pred-false runs before `S`, pred-true
@@ -281,8 +281,12 @@ std::size_t ChunkedCrackPartition(const Key* keys, std::size_t begin,
 ///    an unsorted suffix the owning index drains into its structure at query
 ///    time (QUASII promotes it to a root slice that subsequent queries crack
 ///    lazily, exactly like initial data) and seals with `SealPending`;
-///  - `EraseId` tombstones a row in place (`live` byte cleared, O(1) via the
-///    id → row map). Leaf scans fold the live column into their candidate
+///  - `EraseId` tombstones a row in place (`live` byte cleared). It finds the
+///    row through an id → row map that row exchanges leave alone: partitions
+///    only record the row ranges they reorganize, and the first erase after
+///    them re-derives the map over those rows, so an erase costs O(1) plus,
+///    after a reorganization, one pass over the rows partitioned since the
+///    previous erase. Leaf scans fold the live column into their candidate
 ///    mask branchlessly, and `PartitionLiveFirst` lets crack steps sweep the
 ///    dead rows of a range aside in passing.
 template <int D>
@@ -298,6 +302,7 @@ class CrackArray {
   /// positions, everything live and structured).
   void Reset(const Dataset<D>& data) {
     Clear();
+    Reserve(data.size(), data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
       Append(static_cast<ObjectId>(i), data[i]);
     }
@@ -317,6 +322,22 @@ class CrackArray {
     row_of_.clear();
     tombstones_ = 0;
     pending_begin_ = 0;
+    stale_.clear();
+  }
+
+  /// Presizes every column for `rows` rows and the id → row map for ids
+  /// below `id_bound`, so a build by `Append` runs in one pass without
+  /// reallocating.
+  void Reserve(std::size_t rows, std::size_t id_bound) {
+    for (int d = 0; d < D; ++d) {
+      const std::size_t dd = static_cast<std::size_t>(d);
+      keys_[dd].reserve(rows);
+      los_[dd].reserve(rows);
+      his_[dd].reserve(rows);
+    }
+    ids_.reserve(rows);
+    live_.reserve(rows);
+    if (row_of_.size() < id_bound) row_of_.resize(id_bound, kNoRow);
   }
 
   /// Appends a live row for `id` to the pending tail. The id must not have
@@ -342,7 +363,10 @@ class CrackArray {
   /// valid) but disappears from every scan; a later `Append` of the same id
   /// creates a fresh row and the dead one stays dead forever.
   bool EraseId(ObjectId id) {
+    // A `kNoRow` entry is never stale (swaps move live rows, they never
+    // create or end one), so dead and unknown ids are rejected unsynced.
     if (id >= row_of_.size() || row_of_[id] == kNoRow) return false;
+    SyncRowMap();
     live_[row_of_[id]] = 0;
     row_of_[id] = kNoRow;
     ++tombstones_;
@@ -511,12 +535,7 @@ class CrackArray {
   /// refinement compacts erased objects out of the hot range in passing.
   std::size_t PartitionLiveFirst(std::size_t begin, std::size_t end) {
     const auto pred = [](std::uint8_t v) { return v != 0; };
-    const auto swap = [this](std::size_t i, std::size_t j) { SwapRows(i, j); };
-    if (end - begin >= internal::kChunkedPartitionMin) {
-      return ChunkedCrackPartition(live_.data(), begin, end, pred, swap,
-                                   &IntraQueryScheduler());
-    }
-    return CrackPartition(live_.data(), begin, end, pred, swap);
+    return PartitionRows(live_.data(), begin, end, pred);
   }
 
   struct SplitResult {
@@ -644,9 +663,13 @@ class CrackArray {
     return true;
   }
 
-  /// Column-agreement validator: every column has one entry per row, the
-  /// id → row map holds exactly the live rows, and the tombstone count
-  /// matches the live column. False fills `why` with the first violation.
+  /// Column-agreement validator, a pure read (the stale map ranges are
+  /// checked as they stand, not re-derived): every column has one entry per
+  /// row, no id owns two live rows, and every live row's id has a map entry
+  /// — naming exactly that row outside the stale ranges, and some row of the
+  /// same stale range inside one (partitions move rows only within their
+  /// range). The tombstone count must match the live column. False fills
+  /// `why` with the first violation.
   bool CheckColumns(std::string* why) const {
     const std::size_t n = ids_.size();
     for (int d = 0; d < D; ++d) {
@@ -657,19 +680,38 @@ class CrackArray {
         return false;
       }
     }
-    if (live_.size() != n || pending_begin_ > n) {
-      if (why) *why = "crack array: live column or pending boundary invalid";
+    bool stale_ok = stale_.empty() || stale_.back().end <= n;
+    for (std::size_t k = 0; k < stale_.size(); ++k) {
+      stale_ok = stale_ok && stale_[k].begin < stale_[k].end &&
+                 (k == 0 || stale_[k - 1].end < stale_[k].begin);
+    }
+    if (live_.size() != n || pending_begin_ > n || !stale_ok) {
+      if (why) *why = "crack array: live column or row boundaries invalid";
       return false;
     }
+    std::vector<bool> seen(row_of_.size(), false);
     std::size_t dead = 0;
+    std::size_t k = 0;  // the first stale range ending after row `i`
     for (std::size_t i = 0; i < n; ++i) {
+      while (k < stale_.size() && stale_[k].end <= i) ++k;
       if (!live_[i]) {
         ++dead;
         continue;
       }
       const ObjectId id = ids_[i];
-      if (id >= row_of_.size() || row_of_[id] != i) {
+      if (id >= row_of_.size() || row_of_[id] == kNoRow) {
         if (why) *why = "crack array: live row not in the id map";
+        return false;
+      }
+      if (seen[id]) {
+        if (why) *why = "crack array: id owns two live rows";
+        return false;
+      }
+      seen[id] = true;
+      const std::size_t at = row_of_[id];
+      const bool stale = k < stale_.size() && stale_[k].begin <= i;
+      if (stale ? at < stale_[k].begin || at >= stale_[k].end : at != i) {
+        if (why) *why = "crack array: id map points at the wrong row";
         return false;
       }
     }
@@ -681,19 +723,64 @@ class CrackArray {
   }
 
  private:
-  /// Algorithm selection is by range length ALONE (never thread count):
-  /// long ranges always take the chunked partition, short ones always the
-  /// single pass, so a serial and an 8-thread execution of the same query
-  /// stream walk through identical physical layouts.
-  template <typename Pred>
-  std::size_t Partition(std::size_t begin, std::size_t end, int d, Pred pred) {
-    const Scalar* keys = keys_[static_cast<std::size_t>(d)].data();
+  /// Partitions rows `[begin, end)` by `pred` over the key column `keys`
+  /// (a centre-key or the live column), co-moving every column. Algorithm
+  /// selection is by range length ALONE (never thread count): long ranges
+  /// always take the chunked partition, short ones always the single pass,
+  /// so a serial and an 8-thread execution of the same query stream walk
+  /// through identical physical layouts.
+  template <typename Key, typename Pred>
+  std::size_t PartitionRows(const Key* keys, std::size_t begin, std::size_t end,
+                            Pred pred) {
+    MarkStale(begin, end);
     const auto swap = [this](std::size_t i, std::size_t j) { SwapRows(i, j); };
     if (end - begin >= internal::kChunkedPartitionMin) {
       return ChunkedCrackPartition(keys, begin, end, pred, swap,
                                    &IntraQueryScheduler());
     }
     return CrackPartition(keys, begin, end, pred, swap);
+  }
+
+  /// `PartitionRows` over dimension `d`'s centre keys.
+  template <typename Pred>
+  std::size_t Partition(std::size_t begin, std::size_t end, int d, Pred pred) {
+    return PartitionRows(keys_[static_cast<std::size_t>(d)].data(), begin, end,
+                         pred);
+  }
+
+  /// Adds `[begin, end)` to the stale ranges, merged with every range it
+  /// overlaps or touches. A range already inside one stale range leaves the
+  /// list untouched — a pure read. That is what makes the parallel
+  /// median-split task tree race-free: it forks only after partitioning the
+  /// parent range, so its concurrent partitions on disjoint sub-ranges
+  /// always find them covered.
+  void MarkStale(std::size_t begin, std::size_t end) {
+    if (begin == end) return;
+    const auto precedes = [](const RowRange& r, std::size_t row) {
+      return r.end < row;
+    };
+    // The first range ending at or after `begin`: it overlaps or touches
+    // `[begin, end)`, or lies wholly past it.
+    auto it = std::lower_bound(stale_.begin(), stale_.end(), begin, precedes);
+    if (it != stale_.end() && it->begin <= begin && end <= it->end) return;
+    auto last = it;
+    for (; last != stale_.end() && last->begin <= end; ++last) {
+      begin = std::min(begin, last->begin);
+      end = std::max(end, last->end);
+    }
+    stale_.insert(stale_.erase(it, last), RowRange{begin, end});
+  }
+
+  /// Re-derives the map entries of the live rows in the stale ranges and
+  /// empties them. Dead rows are skipped: a corpse's id may own a fresh live
+  /// row elsewhere, whose entry the corpse must not claim.
+  void SyncRowMap() {
+    for (const RowRange& r : stale_) {
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        if (live_[i]) row_of_[ids_[i]] = i;
+      }
+    }
+    stale_.clear();
   }
 
   void SwapRows(std::size_t i, std::size_t j) {
@@ -705,11 +792,6 @@ class CrackArray {
     }
     std::swap(ids_[i], ids_[j]);
     std::swap(live_[i], live_[j]);
-    // Only live rows own their id's map entry: a dead row's id may have
-    // been re-appended as a fresh live row elsewhere, and that mapping
-    // must not be clobbered by moving the stale corpse around.
-    if (live_[i]) row_of_[ids_[i]] = i;
-    if (live_[j]) row_of_[ids_[j]] = j;
   }
 
   std::array<std::vector<Scalar>, D> keys_;
@@ -718,9 +800,19 @@ class CrackArray {
   std::vector<ObjectId> ids_;
   /// Liveness byte per row (1 = live, 0 = tombstone), co-permuted.
   std::vector<std::uint8_t> live_;
-  /// id → live row (`kNoRow` when the id has no live row), maintained
-  /// through every swap so `EraseId` is O(1).
+  /// id → live row (`kNoRow` when the id has no live row), read only by
+  /// `EraseId`. Row exchanges do not maintain it: the entry of a live row
+  /// in a stale range may name an old position within that range until
+  /// `SyncRowMap` re-derives it.
   std::vector<std::size_t> row_of_;
+  struct RowRange {
+    std::size_t begin;
+    std::size_t end;
+  };
+  /// The stale map ranges: the union of the row ranges partitioned since
+  /// the last `SyncRowMap`, sorted, disjoint and not touching (so never
+  /// more entries than partitions since then).
+  std::vector<RowRange> stale_;
   std::size_t tombstones_ = 0;
   /// Rows `[pending_begin_, size())` are the unsorted appended tail.
   std::size_t pending_begin_ = 0;

@@ -20,24 +20,36 @@ enum class ReadFileResult { kOk, kNotFound, kError };
 
 /// Reads a whole file into `out`. Persistence artifacts are memory-sized by
 /// construction (the store itself is in RAM), so whole-file reads keep the
-/// parsing single-pass and the torn-tail arithmetic trivial.
+/// parsing single-pass and the torn-tail arithmetic trivial. The buffer is
+/// sized once from `fstat` and read into directly; a file that grew since
+/// the `fstat` still reads to its end.
 inline ReadFileResult ReadFile(const std::string& path, std::string* out) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return errno == ENOENT ? ReadFileResult::kNotFound
                                      : ReadFileResult::kError;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return ReadFileResult::kError;
+  }
+  // One spare byte: the read that reports end-of-file needs room to try.
   out->clear();
-  char buf[1 << 16];
+  out->resize(static_cast<std::size_t>(st.st_size > 0 ? st.st_size : 0) + 1);
+  std::size_t got = 0;
   for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (got == out->size()) out->resize(2 * got);
+    const ssize_t n = ::read(fd, out->data() + got, out->size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
+      out->clear();
       return ReadFileResult::kError;
     }
     if (n == 0) break;
-    out->append(buf, static_cast<std::size_t>(n));
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out->resize(got);
   return ReadFileResult::kOk;
 }
 

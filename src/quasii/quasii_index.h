@@ -71,11 +71,11 @@ namespace quasii {
 ///    (consecutive promotions merge while the previous one is still
 ///    unrefined), which subsequent queries crack down lazily exactly like
 ///    initial data — an insert itself never cracks anything;
-///  - erases tombstone the object's row in place (O(1) via the id → row
-///    map); leaf scans skip tombstones branchlessly through the live mask,
-///    refinement sweeps the dead rows of a cracked slice aside in passing,
-///    and once tombstones exceed a quarter of the array the whole structure
-///    is rebuilt from the live set;
+///  - erases tombstone the object's row in place (found through the crack
+///    array's lazily re-derived id → row map); leaf scans skip tombstones
+///    branchlessly through the live mask, refinement sweeps the dead rows
+///    of a cracked slice aside in passing, and once tombstones exceed a
+///    quarter of the array the whole structure is rebuilt from the live set;
 ///  - both mutations re-derive the per-level size thresholds from the live
 ///    count, so the slice hierarchy's geometric progression keeps tracking
 ///    the population as it grows and shrinks.
@@ -413,10 +413,11 @@ class QuasiiIndex final : public SpatialIndex<D> {
   }
 
   /// First-query (and compaction) work: build the structure-of-arrays
-  /// columns from the live object set and derive the per-level thresholds
-  /// and the query-extension amounts.
+  /// columns from the live object set, presized so the build is one pass,
+  /// and derive the per-level thresholds and the query-extension amounts.
   void Initialize() {
     array_.Clear();
+    array_.Reserve(this->store_.live_count(), this->store_.slots());
     half_extent_ = Point<D>{};
     this->store_.ForEachLive([this](ObjectId id, const Box<D>& b) {
       array_.Append(id, b);

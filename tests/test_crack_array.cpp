@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common/crack_array.h"
 #include "common/dataset.h"
 #include "common/rng.h"
+#include "common/task_scheduler.h"
 #include "datagen/neuro.h"
 #include "datagen/queries.h"
 #include "datagen/synthetic.h"
@@ -322,6 +325,168 @@ void TestAppendEraseAndPendingTail() {
   CHECK(!a.EraseId(7));
 }
 
+/// Uniform index in `[0, n)`.
+std::size_t RandomIndex(Rng* rng, std::size_t n) {
+  return static_cast<std::size_t>(
+      rng->UniformInt(0, static_cast<std::int64_t>(n) - 1));
+}
+
+/// The lazily maintained id → row map under a seeded random interleaving of
+/// every reorganizing call with appends and erases. Erases hit live ids,
+/// dead ids, unknown ids and a re-appended id whose dead corpse keeps being
+/// moved. Every erase's verdict is checked against a reference id → (box,
+/// live) table, `CheckColumns` runs after every step, and the rows are
+/// compared with the table every 16 steps (a full comparison per step
+/// would dominate sanitizer runs). With `threads > 1` the whole-array
+/// partitions (n ≥ 2^17 rows) run `ChunkedCrackPartition` on the
+/// intra-query workers.
+void CheckLazyRowMapUnderInterleaving(int threads) {
+  const int previous = quasii::IntraQueryThreads();
+  quasii::SetIntraQueryThreads(threads);
+  Rng rng(83);
+  const Box3 universe = TestUniverse();
+  const std::size_t n = std::size_t{1} << 17;
+  const Dataset3 data =
+      quasii::datagen::MakeRandomBoxes<3>(n, universe, 9.0f, &rng);
+  CrackArray<3> a(data);
+  std::vector<Box3> ref_box(data.begin(), data.end());
+  std::vector<bool> ref_live(n, true);
+  std::vector<ObjectId> dead;
+  std::size_t live_count = n;
+
+  const auto append = [&](ObjectId id) {
+    const Box3 b =
+        quasii::datagen::MakeRandomBoxes<3>(1, universe, 9.0f, &rng)[0];
+    a.Append(id, b);
+    if (id >= ref_box.size()) {
+      ref_box.resize(id + 1);
+      ref_live.resize(id + 1, false);
+    }
+    ref_box[id] = b;
+    ref_live[id] = true;
+    ++live_count;
+  };
+  const auto erase = [&](ObjectId id) {
+    const bool expect = id < ref_live.size() && ref_live[id];
+    CHECK_EQ(a.EraseId(id), expect);
+    if (!expect) return;
+    ref_live[id] = false;
+    dead.push_back(id);
+    --live_count;
+  };
+  // A quarter of the ranges are the whole array (the chunked path), a
+  // quarter random, and half short, so that several disjoint stale ranges
+  // build up between erases and merge as they grow.
+  const auto pick_range = [&](std::size_t* begin, std::size_t* end) {
+    *begin = 0;
+    *end = a.size();
+    const std::int64_t kind = rng.UniformInt(0, 3);
+    if (kind == 0) return;
+    const std::size_t x = RandomIndex(&rng, a.size() + 1);
+    const std::size_t y =
+        kind == 1 ? RandomIndex(&rng, a.size() + 1)
+                  : std::min(a.size(), x + RandomIndex(&rng, 8192));
+    *begin = std::min(x, y);
+    *end = std::max(x, y);
+  };
+  const auto check_columns = [&] {
+    std::string why;
+    if (!a.CheckColumns(&why)) {
+      std::fprintf(stderr, "CheckColumns: %s\n", why.c_str());
+      CHECK(false);
+    }
+  };
+  const auto check_reference = [&] {
+    std::size_t live_rows = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (!a.live(i)) continue;
+      ++live_rows;
+      const ObjectId id = a.id(i);
+      CHECK(id < ref_live.size() && ref_live[id]);
+      CHECK(a.box(i) == ref_box[id]);
+      for (int d = 0; d < 3; ++d) {
+        CHECK_EQ(a.key(d, i), CrackArray<3>::CenterKey(ref_box[id], d));
+      }
+    }
+    CHECK_EQ(live_rows, live_count);
+    CHECK_EQ(a.tombstones(), a.size() - live_count);
+  };
+
+  // Re-append an erased id up front, so its corpse rides through every
+  // step until its fresh row is erased halfway.
+  erase(5);
+  dead.pop_back();
+  append(5);
+  a.SealPending();
+  check_columns();
+  check_reference();
+
+  for (int step = 0; step < 240; ++step) {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    const int d = static_cast<int>(rng.UniformInt(0, 2));
+    const std::int64_t op = rng.UniformInt(0, 99);
+    if (op < 30) {
+      pick_range(&begin, &end);
+      const Scalar v = rng.UniformScalar(universe.lo[d], universe.hi[d]);
+      const std::size_t pos = a.CrackOnAxis(begin, end, d, v);
+      CHECK(pos >= begin && pos <= end);
+    } else if (op < 45) {
+      pick_range(&begin, &end);
+      const auto split = a.MedianSplit(begin, end, d);
+      CHECK(split.pos >= begin && split.pos <= end);
+    } else if (op < 55) {
+      pick_range(&begin, &end);
+      const std::size_t live_end = a.PartitionLiveFirst(begin, end);
+      for (std::size_t i = begin; i < end; ++i) {
+        CHECK_EQ(a.live(i), i < live_end);
+      }
+    } else if (op < 70) {
+      // Fresh ids, and now and then a dead id re-appended.
+      const int count = static_cast<int>(rng.UniformInt(1, 64));
+      for (int k = 0; k < count; ++k) {
+        if (dead.empty() || rng.UniformInt(0, 3) != 0) {
+          append(static_cast<ObjectId>(ref_live.size()));
+          continue;
+        }
+        const std::size_t pick = RandomIndex(&rng, dead.size());
+        const ObjectId id = dead[pick];
+        dead[pick] = dead.back();
+        dead.pop_back();
+        append(id);
+      }
+      a.SealPending();
+    } else {
+      const int count = static_cast<int>(rng.UniformInt(1, 8));
+      for (int k = 0; k < count; ++k) {
+        const std::int64_t kind = rng.UniformInt(0, 9);
+        if (kind < 6) {  // a live id
+          std::size_t id = RandomIndex(&rng, ref_live.size());
+          while (!ref_live[id]) id = RandomIndex(&rng, ref_live.size());
+          erase(static_cast<ObjectId>(id));
+        } else if (kind < 9 && !dead.empty()) {  // a dead id
+          erase(dead[RandomIndex(&rng, dead.size())]);
+        } else {  // an id never appended
+          const std::size_t unknown = ref_live.size() + RandomIndex(&rng, 1000);
+          erase(static_cast<ObjectId>(unknown));
+        }
+      }
+    }
+    if (step == 120) erase(5);  // the fresh row, not the moved corpse
+    check_columns();
+    if (step % 16 == 15) check_reference();
+  }
+  quasii::SetIntraQueryThreads(previous);
+}
+
+void TestLazyRowMapUnderInterleavingSerial() {
+  CheckLazyRowMapUnderInterleaving(1);
+}
+
+void TestLazyRowMapUnderInterleavingParallel() {
+  CheckLazyRowMapUnderInterleaving(4);
+}
+
 /// StreamScan must skip tombstones on every path: masked scans, covered
 /// dimensions, and count-only execution.
 void TestStreamScanSkipsTombstones() {
@@ -388,5 +553,7 @@ int main() {
   RUN_TEST(TestSoaQuasiiEquivalence);
   RUN_TEST(TestAppendEraseAndPendingTail);
   RUN_TEST(TestStreamScanSkipsTombstones);
+  RUN_TEST(TestLazyRowMapUnderInterleavingSerial);
+  RUN_TEST(TestLazyRowMapUnderInterleavingParallel);
   return 0;
 }

@@ -30,7 +30,9 @@
 #include "geometry/box.h"
 #include "grid/grid_index.h"
 #include "mosaic/mosaic_index.h"
+#include "persist/crc32c.h"
 #include "persist/failpoint.h"
+#include "persist/io.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
@@ -59,6 +61,7 @@ using quasii::ScanIndex;
 using quasii::SfcIndex;
 using quasii::SfcrackerIndex;
 using quasii::SpatialIndex;
+using quasii::persist::Crc32c;
 using quasii::persist::FailPoints;
 using quasii::persist::PersistError;
 using quasii::persist::PersistErrorName;
@@ -620,6 +623,88 @@ void TestSnapshotCorruptionClassesRefused() {
 }
 
 // ---------------------------------------------------------------------------
+// Checksum and whole-file read primitives
+
+/// The textbook byte-at-a-time CRC-32C, kept here as the reference the
+/// sliced implementation must reproduce bit-for-bit.
+std::uint32_t BytewiseCrc32c(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? 0x82F63B78u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+void TestCrc32cKnownAnswers() {
+  CHECK_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  CHECK_EQ(Crc32c("", 0), 0u);
+  CHECK_EQ(Crc32c(nullptr, 0), 0u);
+}
+
+/// Every length 0..256 at every misalignment 0..7 (so the 8-byte body and
+/// the bytewise tail both start at every phase), plus one multi-MB buffer.
+void TestCrc32cMatchesBytewise() {
+  Rng rng(53);
+  std::vector<unsigned char> buf(256 + 8);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      CHECK_EQ(Crc32c(p, len), BytewiseCrc32c(p, len));
+    }
+  }
+  std::vector<unsigned char> big((std::size_t{3} << 20) + 5);
+  for (unsigned char& b : big) {
+    b = static_cast<unsigned char>(rng.UniformInt(0, 255));
+  }
+  CHECK_EQ(Crc32c(big.data(), big.size()),
+           BytewiseCrc32c(big.data(), big.size()));
+}
+
+/// `ReadFile` returns exact contents for empty, small and multi-chunk
+/// files, and maps a missing file to `kNotFound`.
+void TestReadFileContents() {
+  using quasii::persist::ReadFile;
+  using quasii::persist::ReadFileResult;
+  const std::string path = ArtifactPath("readfile.bin");
+  std::string got = "stale";
+  RemoveArtifact(path);
+  CHECK(ReadFile(path, &got) == ReadFileResult::kNotFound);
+  Rng rng(59);
+  const std::size_t lengths[] = {0, 1, 4097, std::size_t{1} << 20};
+  for (const std::size_t len : lengths) {
+    std::string raw(len, '\0');
+    for (char& c : raw) c = static_cast<char>(rng.UniformInt(0, 255));
+    DumpFile(path, raw);
+    CHECK(ReadFile(path, &got) == ReadFileResult::kOk);
+    CHECK(got == raw);
+  }
+  RemoveArtifact(path);
+
+  // A file that holds more than its `fstat` size: a pipe reports st_size 0
+  // but has content, so the read must grow the buffer past the presize.
+  int fds[2];
+  CHECK(::pipe(fds) == 0);
+  std::string piped(4000, '\0');  // below one page: the write cannot block
+  for (char& c : piped) c = static_cast<char>(rng.UniformInt(0, 255));
+  CHECK(::write(fds[1], piped.data(), piped.size()) ==
+        static_cast<ssize_t>(piped.size()));
+  ::close(fds[1]);
+  struct stat st;
+  CHECK(::fstat(fds[0], &st) == 0);
+  CHECK(static_cast<std::size_t>(st.st_size) < piped.size());
+  CHECK(ReadFile("/dev/fd/" + std::to_string(fds[0]), &got) ==
+        ReadFileResult::kOk);
+  CHECK(got == piped);
+  ::close(fds[0]);
+}
+
+// ---------------------------------------------------------------------------
 // Fault injection
 
 void TestFailPointRegistry() {
@@ -789,6 +874,9 @@ int main() {
   RUN_TEST(TestWalDimensionMismatchRefused);
   RUN_TEST(TestWalReplayRejectedRefused);
   RUN_TEST(TestSnapshotCorruptionClassesRefused);
+  RUN_TEST(TestCrc32cKnownAnswers);
+  RUN_TEST(TestCrc32cMatchesBytewise);
+  RUN_TEST(TestReadFileContents);
   RUN_TEST(TestFailPointRegistry);
   RUN_TEST(TestFsyncFailureIsTypedError);
   RUN_TEST(TestInjectedBitFlipRefused);
